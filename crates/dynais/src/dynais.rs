@@ -158,8 +158,9 @@ impl DynAis {
     }
 }
 
-/// 64-bit mix (SplitMix64 finaliser) used for iteration digests. Shared
-/// with the reference stack so digest streams stay comparable.
+/// 64-bit mix (SplitMix64 finaliser) used for iteration digests. The
+/// reference stack in `tests/reference` keeps a frozen copy, so the two
+/// digest streams stay comparable.
 pub(crate) fn mix(acc: u64, v: u64) -> u64 {
     let mut z = acc ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -28,10 +28,7 @@
 
 pub mod dynais;
 pub mod level;
-pub mod reference;
 pub mod window;
 
 pub use dynais::{DynAis, DynaisConfig, DynaisResult};
 pub use level::{LevelDetector, LoopEvent};
-pub use reference::{ReferenceDynAis, ReferenceLevelDetector};
-pub use window::SampleWindow;

@@ -1,8 +1,11 @@
 //! Property tests for DynAIS: the invariants EARL depends on, and the
 //! equivalence of the incremental detector with the naive reference.
 
-use ear_dynais::{DynAis, DynaisConfig, LevelDetector, LoopEvent, ReferenceDynAis};
+mod reference;
+
+use ear_dynais::{DynAis, DynaisConfig, LevelDetector, LoopEvent};
 use proptest::prelude::*;
+use reference::{ReferenceDynAis, ReferenceLevelDetector};
 
 /// Building blocks for adversarial signals: the strategies compose periodic
 /// bursts (with value collisions across patterns), phase shifts, and
@@ -55,7 +58,7 @@ proptest! {
         window in prop_oneof![Just(16usize), Just(64), Just(250)],
     ) {
         let mut opt = LevelDetector::new(window, 2);
-        let mut naive = ear_dynais::ReferenceLevelDetector::new(window, 2);
+        let mut naive = ReferenceLevelDetector::new(window, 2);
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(opt.sample(v), naive.sample(v), "sample {}", i);
             prop_assert_eq!(opt.period(), naive.period(), "period after {}", i);
@@ -70,7 +73,7 @@ proptest! {
     ) {
         let stream = render(&segments);
         let mut opt = LevelDetector::new(64, 2);
-        let mut naive = ear_dynais::ReferenceLevelDetector::new(64, 2);
+        let mut naive = ReferenceLevelDetector::new(64, 2);
         for (i, &v) in stream.iter().enumerate() {
             prop_assert_eq!(opt.sample(v), naive.sample(v), "sample {}", i);
         }

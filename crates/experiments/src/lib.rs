@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod chart;
 pub mod csv;
@@ -32,6 +31,7 @@ pub mod related_work;
 pub mod surface;
 pub mod sweep;
 pub mod tables;
+pub mod telemetry;
 
 pub use cache::{default_cache_dir, result_cache_stats, set_result_cache};
 pub use chart::{bar_chart, column_chart};

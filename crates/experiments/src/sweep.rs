@@ -9,9 +9,9 @@
 //! * **One matrix per workload.** The reference cell and the whole grid
 //!   go through [`run_matrix_engine`] as a single matrix: calibration and
 //!   job synthesis happen once per workload and every cell of the grid
-//!   spreads across the worker pool (the naive per-cell loop rebuilds the
-//!   job per cell and serialises the grid; it survives as the measured
-//!   reference in the `sweep_grid_wall` bench and behind `--naive`).
+//!   spreads across the worker pool (a naive per-cell loop would rebuild
+//!   the job per cell and serialise the grid; it survives only as the
+//!   test oracle the structured path is checked against).
 //! * **Batched cell claims.** Workers claim one uncore row of the grid
 //!   per queue operation ([`EngineConfig::with_batch`]): adjacent cells
 //!   run back to back under one permit, amortising setup and keeping the
@@ -54,10 +54,6 @@ pub struct SweepConfig {
     pub apps: Vec<String>,
     /// Artifact directory (`None` = no artifacts written).
     pub out_dir: Option<PathBuf>,
-    /// Run the naive per-cell reference loop instead of the structured
-    /// sweep (identical results, measurably slower — kept honest by the
-    /// `sweep_grid_wall` bench).
-    pub naive: bool,
     /// Fail the campaign if any surface's worst relative fit residual
     /// exceeds this fraction (CI tolerance gate).
     pub max_residual: Option<f64>,
@@ -71,7 +67,6 @@ impl Default for SweepConfig {
             base_seed: 9001,
             apps: Vec::new(),
             out_dir: None,
-            naive: false,
             max_residual: None,
         }
     }
@@ -137,10 +132,10 @@ fn grid_cells(spec: &SweepSpec) -> Vec<(String, RunKind)> {
 
 /// Sweeps one workload over `spec`'s grid and fits its surfaces.
 ///
-/// The structured path runs the whole grid as one engine matrix with
-/// batched claims and cache-key scheduling; `config.naive` runs the
-/// reference per-cell loop instead. Both produce bit-identical results
-/// (legacy seeds: every cell draws the same noise either way).
+/// The whole grid runs as one engine matrix with batched claims and
+/// cache-key scheduling. Legacy seeds make every cell draw the same noise
+/// as it would in a matrix of its own, so the result is bit-identical to a
+/// per-cell loop (pinned by the tests below).
 pub fn sweep_app(
     targets: &WorkloadTargets,
     spec: &SweepSpec,
@@ -148,41 +143,16 @@ pub fn sweep_app(
 ) -> EarResult<AppSweep> {
     let cells = grid_cells(spec);
     let runs = config.runs.max(1);
-    let all = if config.naive {
-        // The naive loop: one engine invocation per cell. Calibration
-        // still comes from the process-wide cache, but the job is
-        // re-synthesised per cell and the grid cannot spread across the
-        // pool (each invocation holds only `runs` tasks).
-        let mut all = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            let run = run_matrix_engine(
-                targets,
-                std::slice::from_ref(cell),
-                &EngineConfig::new(runs, config.base_seed).legacy_seeds(),
-            );
-            match run.all() {
-                Some(mut v) => all.append(&mut v),
-                None => return Err(sweep_failure(targets, &run.failed_labels())),
-            }
-        }
-        all
-    } else {
-        // The structured sweep: one matrix, one uncore row per claim,
-        // cells scheduled in cache-key order.
-        let ec = EngineConfig::new(runs, config.base_seed)
-            .legacy_seeds()
-            .with_batch(spec.imc_ratios.len().max(1) * runs)
-            .key_ordered();
-        let run = run_matrix_engine(targets, &cells, &ec);
-        let hits = run.summary.result_hits;
-        match run.all() {
-            Some(v) => {
-                return assemble(targets, spec, v, hits, cells.len());
-            }
-            None => return Err(sweep_failure(targets, &run.failed_labels())),
-        }
-    };
-    assemble(targets, spec, all, 0, cells.len())
+    let ec = EngineConfig::new(runs, config.base_seed)
+        .legacy_seeds()
+        .with_batch(spec.imc_ratios.len().max(1) * runs)
+        .key_ordered();
+    let run = run_matrix_engine(targets, &cells, &ec);
+    let hits = run.summary.result_hits;
+    match run.all() {
+        Some(v) => assemble(targets, spec, v, hits, cells.len()),
+        None => Err(sweep_failure(targets, &run.failed_labels())),
+    }
 }
 
 fn sweep_failure(targets: &WorkloadTargets, failed: &[String]) -> EarError {
@@ -537,10 +507,9 @@ pub fn run_sweep(config: &SweepConfig) -> EarResult<String> {
 
     let mut out = format_table(
         &format!(
-            "Sweep campaign: {} workloads, {} grids{}",
+            "Sweep campaign: {} workloads, {} grids",
             sweeps.len(),
             if config.quick { "quick" } else { "full" },
-            if config.naive { ", naive loop" } else { "" }
         ),
         &[
             "Application",
@@ -598,21 +567,37 @@ mod tests {
         by_name("BT-MZ.C (OpenMP)").unwrap_or_else(|| panic!("catalog"))
     }
 
+    /// The oracle for [`sweep_app`]: one engine invocation per cell, so
+    /// the job is re-synthesised per cell and the grid never spreads
+    /// across the pool.
+    fn sweep_app_per_cell(
+        targets: &WorkloadTargets,
+        spec: &SweepSpec,
+        config: &SweepConfig,
+    ) -> EarResult<AppSweep> {
+        let cells = grid_cells(spec);
+        let mut all = Vec::with_capacity(cells.len());
+        for cell in &cells {
+            let run = run_matrix_engine(
+                targets,
+                std::slice::from_ref(cell),
+                &EngineConfig::new(config.runs.max(1), config.base_seed).legacy_seeds(),
+            );
+            match run.all() {
+                Some(mut v) => all.append(&mut v),
+                None => return Err(sweep_failure(targets, &run.failed_labels())),
+            }
+        }
+        assemble(targets, spec, all, 0, cells.len())
+    }
+
     #[test]
     fn structured_and_naive_sweeps_are_bit_identical() {
         let t = bt();
         let spec = quick_spec(&t);
         let cfg = quick_config();
         let fast = sweep_app(&t, &spec, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        let naive = sweep_app(
-            &t,
-            &spec,
-            &SweepConfig {
-                naive: true,
-                ..quick_config()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let naive = sweep_app_per_cell(&t, &spec, &cfg).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(render_artifact(&fast), render_artifact(&naive));
     }
 

@@ -146,7 +146,7 @@ pub fn calibrate_now() -> Calibration {
 }
 
 /// Minimum of `reps` timed runs of `f`, in seconds.
-fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+fn min_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
@@ -162,7 +162,7 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 fn measure_sync_ns() -> f64 {
     use crate::driver::HorizonGate;
     const ROUNDS: u64 = 512;
-    let secs = best_secs(3, || {
+    let secs = min_secs(3, || {
         let gate = HorizonGate::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -185,7 +185,7 @@ fn measure_sync_ns() -> f64 {
 /// Times spawning and joining one scoped no-op thread (ns).
 fn measure_spawn_ns() -> f64 {
     const SPAWNS: usize = 8;
-    let secs = best_secs(3, || {
+    let secs = min_secs(3, || {
         std::thread::scope(|scope| {
             for _ in 0..SPAWNS {
                 scope.spawn(|| {});
@@ -226,14 +226,14 @@ fn probe_break_even() -> usize {
     let workers_cap = std::thread::available_parallelism().map_or(1, |n| n.get());
     for nodes in PROBE_NODES {
         let job = probe_job(nodes);
-        let serial = best_secs(2, || {
+        let serial = min_secs(2, || {
             let mut cluster =
                 ear_archsim::Cluster::new(ear_archsim::NodeConfig::sd530_6148(), nodes, 7777);
             let mut rts = vec![crate::NullRuntime; nodes];
             crate::run_job_serial(&mut cluster, &job, &mut rts);
         });
         let workers = nodes.min(workers_cap.max(2));
-        let parallel = best_secs(2, || {
+        let parallel = min_secs(2, || {
             let mut cluster =
                 ear_archsim::Cluster::new(ear_archsim::NodeConfig::sd530_6148(), nodes, 7777);
             let mut rts = vec![crate::NullRuntime; nodes];

@@ -46,7 +46,8 @@ pub struct ClusterConfig {
     /// Requests pipelined per daemon per batch.
     pub batch: usize,
     /// Cluster power budget the root distributes (W); defaults to
-    /// 200 W × nodes.
+    /// 200 W × nodes. [`SimCluster::new`] rejects a budget that is not a
+    /// finite positive number.
     pub budget_w: Option<f64>,
     /// Seed for the adversarial chunking pattern.
     pub seed: u64,
@@ -311,6 +312,13 @@ impl SimCluster {
             return Err(EarError::Protocol(
                 "cluster batch must be nonzero".to_string(),
             ));
+        }
+        if let Some(w) = cfg.budget_w {
+            if !w.is_finite() || w <= 0.0 {
+                return Err(EarError::config(format!(
+                    "cluster budget must be a positive number of watts, got {w}"
+                )));
+            }
         }
         let daemons: Vec<SimDaemon> = (0..cfg.nodes)
             .map(|n| SimDaemon::new(n as u64, cfg.seed.wrapping_add(n as u64)))
@@ -626,6 +634,22 @@ mod tests {
         assert!(report.requests > 0);
         assert!(report.rounds >= 1);
         assert_eq!(report.nodes, 32);
+    }
+
+    #[test]
+    fn nonsense_budgets_are_rejected() {
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -100.0, 0.0] {
+            let err = SimCluster::new(ClusterConfig {
+                budget_w: Some(w),
+                ..small_cfg(8)
+            })
+            .err();
+            assert!(
+                matches!(err, Some(EarError::Config { .. })),
+                "budget {w}: {err:?}"
+            );
+        }
+        assert!(SimCluster::new(small_cfg(8)).is_ok());
     }
 
     #[test]

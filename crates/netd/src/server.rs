@@ -6,10 +6,11 @@
 //! byte-identical replies whether it arrives over a Unix socket, TCP or the
 //! in-memory pipe. Two transports wrap it with identical protocol
 //! semantics: the original blocking server ([`run`]; thread per connection
-//! on a bounded pool, kept as the timed reference for the `netd_async_rtt`
-//! bench) and the nonblocking readiness-loop server ([`run_async`]; one
-//! thread, `poll(2)`-driven, per-connection state machines with zero-copy
-//! frame decode and batched reply flushes). Both accept connections on any
+//! on a bounded pool, behind `earsim serve --blocking`) and the nonblocking
+//! readiness-loop server ([`run_async`]; one thread, `poll(2)`-driven,
+//! per-connection state machines with zero-copy frame decode and batched
+//! reply flushes). Which of the two to keep is still open: neither wins on
+//! every host (DESIGN.md §12). Both accept connections on any
 //! [`NetListener`], answer [`WireMsg::Error`] and close when saturated,
 //! apply per-connection read/write deadlines, and exit cleanly on the
 //! [`WireMsg::Shutdown`] poison frame or an optional wall-clock budget. A

@@ -12,6 +12,7 @@
 //! earsim all                          # the whole evaluation
 //! earsim serve --socket /tmp/eard.sock   # networked EARD daemon
 //! earsim loadgen --socket /tmp/eard.sock --clients 8 --duration 2
+//! earsim verify-telemetry err.txt     # check a captured telemetry line
 //! ```
 //!
 //! Run options: `--policy NAME` (default `min_energy_eufs`), `--cpu-th PCT`
@@ -61,7 +62,7 @@ fn usage() -> ! {
          \x20          [--range maxonly|pinned|band:N]\n\
          earsim run --conf FILE --app NAME   (ear.conf instead of flags)\n\
          earsim sweep [--app NAME]... [--quick] [--runs N] [--seed N]\n\
-         \x20            [--out-dir DIR] [--naive] [--max-residual PCT]\n\
+         \x20            [--out-dir DIR] [--max-residual PCT]\n\
          \x20            full (pstate x uncore) grid characterisation,\n\
          \x20            T/P surface fit, one-shot fitted policy report\n\
          earsim sweep --fig1 NAME   fixed-uncore sweep (paper Fig. 1)\n\
@@ -72,11 +73,7 @@ fn usage() -> ! {
          earsim future\n\
          earsim conf\n\
          earsim all\n\
-         earsim bench [--quick] [--out FILE]   hot-path micro-benchmarks\n\
-         earsim bench --verify FILE            validate a BENCH json artifact\n\
-         \x20                                  (fails rows with speedup < 1.0\n\
-         \x20                                  unless allowlisted)\n\
-         earsim bench --verify-telemetry FILE  validate an earsim-telemetry line\n\
+         earsim verify-telemetry FILE   validate an earsim-telemetry line\n\
          earsim serve --socket PATH|HOST:PORT [--workers N] [--node N]\n\
          \x20            [--ceiling PSTATE:IMCMAX] [--max-seconds S]\n\
          \x20            [--blocking]   (thread-per-connection server\n\
@@ -278,7 +275,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), EarError> {
 
 /// `earsim sweep`: the grid-scale (pstate × uncore) characterisation
 /// campaign — per-workload surfaces, the quadratic fit, the fitted-policy
-/// comparison. The valueless `--quick`/`--naive` flags force a custom
+/// comparison. The valueless `--quick` flag forces a custom
 /// argument loop. The paper's fixed-uncore Fig. 1 sweep lives under
 /// `earsim fig 1` (and per app via `--fig1 NAME`).
 fn cmd_sweep(rest: &[String]) -> Result<(), EarError> {
@@ -311,7 +308,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), EarError> {
                 return Ok(());
             }
             "--quick" => cfg.quick = true,
-            "--naive" => cfg.naive = true,
             "--out-dir" => cfg.out_dir = Some(std::path::PathBuf::from(value("out-dir"))),
             "--runs" => {
                 cfg.runs = parse_num(&value("runs"), "runs");
@@ -374,82 +370,29 @@ fn cmd_fig(n: &str) -> Result<(), EarError> {
     Ok(())
 }
 
-/// `earsim bench`: runs the dependency-free hot-path micro-benchmarks, or
-/// validates a previously emitted `BENCH_hotpath.json` with `--verify`.
-/// Flags are positionless; `--quick` trims iteration counts for CI smoke.
-fn cmd_bench(rest: &[String]) -> Result<(), EarError> {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut verify: Option<String> = None;
-    let mut verify_telemetry: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("missing value for --out");
-                    usage();
-                }
-            },
-            "--verify" => match it.next() {
-                Some(v) => verify = Some(v.clone()),
-                None => {
-                    eprintln!("missing value for --verify");
-                    usage();
-                }
-            },
-            "--verify-telemetry" => match it.next() {
-                Some(v) => verify_telemetry = Some(v.clone()),
-                None => {
-                    eprintln!("missing value for --verify-telemetry");
-                    usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown bench argument '{a}'");
-                usage();
-            }
-        }
-    }
-    if let Some(path) = verify_telemetry {
-        let text = std::fs::read_to_string(&path).map_err(|e| EarError::io(path.as_str(), e))?;
-        // Accept either the bare JSON object or a captured stderr stream
-        // containing the prefixed `earsim-telemetry: {...}` line.
-        let line = text
-            .lines()
-            .rev()
-            .find_map(|l| {
-                let l = l.trim();
-                l.strip_prefix("earsim-telemetry:")
-                    .map(str::trim)
-                    .or_else(|| l.starts_with('{').then_some(l))
-            })
-            .ok_or_else(|| EarError::config(format!("{path}: no earsim-telemetry line found")))?;
-        ear::experiments::bench::validate_telemetry_json(line)
-            .map_err(|e| EarError::config(format!("{path}: INVALID: {e}")))?;
-        println!("{path}: telemetry valid");
-        return Ok(());
-    }
-    if let Some(path) = verify {
-        let text = std::fs::read_to_string(&path).map_err(|e| EarError::io(path.as_str(), e))?;
-        let n = ear::experiments::bench::validate_json(&text)
-            .map_err(|e| EarError::config(format!("{path}: INVALID: {e}")))?;
-        // Schema-valid is not enough: a row whose optimised path lost to
-        // the implementation it replaced is a regression and fails the
-        // verify (unless allowlisted — see bench::SPEEDUP_ALLOWLIST).
-        let gated = ear::experiments::bench::verify_speedups(&text)
-            .map_err(|e| EarError::config(format!("{path}: REGRESSION: {e}")))?;
-        println!("{path}: valid ({n} benches, {gated} speedup-gated)");
-        return Ok(());
-    }
-    let report = ear::experiments::bench::run(quick);
-    print!("{}", report.render());
-    if let Some(path) = out {
-        std::fs::write(&path, report.to_json()).map_err(|e| EarError::io(path.as_str(), e))?;
-        eprintln!("wrote {path}");
-    }
+/// `earsim verify-telemetry FILE`: checks the `earsim-telemetry:` line in
+/// a captured stderr stream (or a bare JSON object) against the schema.
+fn cmd_verify_telemetry(rest: &[String]) -> Result<(), EarError> {
+    let [path] = rest else {
+        eprintln!("verify-telemetry needs exactly one FILE");
+        usage();
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| EarError::io(path.as_str(), e))?;
+    // Accept either the bare JSON object or a captured stderr stream
+    // containing the prefixed `earsim-telemetry: {...}` line.
+    let line = text
+        .lines()
+        .rev()
+        .find_map(|l| {
+            let l = l.trim();
+            l.strip_prefix("earsim-telemetry:")
+                .map(str::trim)
+                .or_else(|| l.starts_with('{').then_some(l))
+        })
+        .ok_or_else(|| EarError::config(format!("{path}: no earsim-telemetry line found")))?;
+    ear::experiments::telemetry::validate_telemetry_json(line)
+        .map_err(|e| EarError::config(format!("{path}: INVALID: {e}")))?;
+    println!("{path}: telemetry valid");
     Ok(())
 }
 
@@ -634,7 +577,14 @@ fn cmd_cluster(rest: &[String]) -> Result<(), EarError> {
                     usage();
                 }
             }
-            "--budget" => cfg.budget_w = Some(parse_num(&value("budget"), "budget")),
+            "--budget" => {
+                let w: f64 = parse_num(&value("budget"), "budget");
+                if !w.is_finite() || w <= 0.0 {
+                    eprintln!("--budget expects a positive number of watts");
+                    usage();
+                }
+                cfg.budget_w = Some(w);
+            }
             _ => {
                 eprintln!("unknown cluster argument '{a}'");
                 usage();
@@ -790,7 +740,7 @@ fn real_main(args: Vec<String>) -> Result<(), EarError> {
         }
         Some("conf") => print!("{}", render_ear_conf(&EarlConfig::default())),
         Some("all") => print!("{}", ear::experiments::run_all()),
-        Some("bench") => cmd_bench(&args[1..])?,
+        Some("verify-telemetry") => cmd_verify_telemetry(&args[1..])?,
         Some("serve") => cmd_serve(&args[1..])?,
         Some("loadgen") => cmd_loadgen(&args[1..])?,
         Some("cluster") => cmd_cluster(&args[1..])?,
@@ -853,15 +803,13 @@ fn main() {
         ear::trace::set_enabled(true);
     }
     // Persistent result cache: on by default, off for `--no-cache` or
-    // EAR_CACHE=0/off/false, and for `bench` (which must measure real
-    // simulation work and manages its own store for the warm-cache bench).
+    // EAR_CACHE=0/off/false.
     let no_cache_flag = take_global_flag(&mut args, "--no-cache");
     let no_cache_env = matches!(
         std::env::var("EAR_CACHE").as_deref().map(str::trim),
         Ok("0") | Ok("off") | Ok("false")
     );
-    let is_bench = args.first().is_some_and(|a| a == "bench");
-    if !(no_cache_flag || no_cache_env || is_bench) {
+    if !(no_cache_flag || no_cache_env) {
         ear::experiments::set_result_cache(Some(ear::experiments::default_cache_dir()));
     }
 
