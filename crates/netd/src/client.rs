@@ -8,11 +8,18 @@
 //! from a seeded xorshift generator — deterministic per client, so tests
 //! and benchmarks are reproducible, while a fleet of clients still spreads
 //! its retries instead of stampeding.
+//!
+//! A round trip is one `write` of a frame encoded into a reused buffer and,
+//! usually, one `read`: replies decode through the same [`FrameBuffer`] the
+//! readiness-loop server reads requests with, so a reply that arrives in
+//! one piece takes one call and no per-reply allocation, and one that
+//! arrives in pieces is reassembled across as many reads as it needs.
 
-use crate::codec::{self, WireMsg};
+use crate::codec::{self, FrameBuffer, WireMsg};
 use crate::conn::{Endpoint, NetConn};
 use crate::stats;
 use ear_errors::{EarError, EarResult};
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// Client-side deadline and retry knobs.
@@ -49,6 +56,10 @@ pub struct NetClient {
     endpoint: Endpoint,
     cfg: ClientConfig,
     conn: Option<NetConn>,
+    /// Reply bytes read from `conn` and not yet decoded.
+    inbuf: FrameBuffer,
+    /// The request frame being sent, encoded in place.
+    out: Vec<u8>,
     rng: u64,
     overhead_nanos: u64,
 }
@@ -62,6 +73,31 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
+/// Reads from `conn` until `inbuf` holds a whole frame, and decodes it.
+fn read_reply(conn: &mut NetConn, inbuf: &mut FrameBuffer) -> EarResult<WireMsg> {
+    loop {
+        if let Some(reply) = inbuf.next_frame()? {
+            return Ok(reply);
+        }
+        match inbuf.fill_from(conn) {
+            Ok(0) if inbuf.mid_frame() => {
+                return Err(EarError::Protocol(format!(
+                    "connection closed mid-reply after {} bytes",
+                    inbuf.buffered()
+                )))
+            }
+            Ok(0) => {
+                return Err(EarError::Protocol(
+                    "connection closed before the reply".to_string(),
+                ))
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(codec::io_to_ear("read frame", &e)),
+        }
+    }
+}
+
 impl NetClient {
     /// Creates a client. The connection is established on first use and
     /// reused across requests.
@@ -71,6 +107,8 @@ impl NetClient {
             endpoint,
             cfg,
             conn: None,
+            inbuf: FrameBuffer::new(),
+            out: Vec::new(),
             rng,
             overhead_nanos: 0,
         }
@@ -94,48 +132,54 @@ impl NetClient {
         self.overhead_nanos = self.overhead_nanos.saturating_add(ns);
     }
 
-    fn ensure_conn(&mut self) -> EarResult<&mut NetConn> {
-        if self.conn.is_none() {
-            let dialing = std::time::Instant::now();
-            let connected = self.endpoint.connect(self.cfg.connect_timeout);
-            self.note_overhead(dialing);
-            let mut conn = connected?;
-            conn.set_io_timeouts(
-                Some(self.cfg.request_timeout),
-                Some(self.cfg.request_timeout),
-            )?;
-            self.conn = Some(conn);
-        }
-        match self.conn.as_mut() {
-            Some(c) => Ok(c),
-            None => Err(EarError::Protocol("connection vanished".to_string())),
-        }
+    fn dial(&mut self) -> EarResult<NetConn> {
+        let dialing = std::time::Instant::now();
+        let connected = self.endpoint.connect(self.cfg.connect_timeout);
+        self.note_overhead(dialing);
+        let mut conn = connected?;
+        conn.set_io_timeouts(
+            Some(self.cfg.request_timeout),
+            Some(self.cfg.request_timeout),
+        )?;
+        Ok(conn)
     }
 
     /// One request/reply exchange, no retries. A [`WireMsg::Error`] reply
     /// and a clean close both surface as typed errors; the connection is
-    /// dropped on any failure so the next attempt redials.
+    /// dropped on any failure, with whatever part of a reply it had
+    /// delivered, so the next attempt redials.
     pub fn request(&mut self, msg: &WireMsg) -> EarResult<WireMsg> {
-        let attempt = |conn: &mut NetConn| -> EarResult<WireMsg> {
-            conn.write_msg(msg)?;
-            match conn.read_msg()? {
-                Some(WireMsg::Error { message }) => Err(EarError::Protocol(format!(
-                    "daemon answered with an error: {message}"
-                ))),
-                Some(reply) => Ok(reply),
-                None => Err(EarError::Protocol(
-                    "connection closed before the reply".to_string(),
-                )),
-            }
-        };
-        let result = self.ensure_conn().and_then(attempt);
+        let result = self.exchange(msg);
         if let Err(e) = &result {
             if codec::is_deadline_error(e) {
                 stats::deadline_hit();
             }
-            self.conn = None;
+            self.inbuf.clear();
         }
         result
+    }
+
+    /// Sends `msg` and reads its reply. The connection goes back into
+    /// `self.conn` only when the exchange succeeds.
+    fn exchange(&mut self, msg: &WireMsg) -> EarResult<WireMsg> {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => self.dial()?,
+        };
+        self.out.clear();
+        codec::encode_frame_into(&mut self.out, msg)?;
+        conn.write_all(&self.out)
+            .and_then(|()| conn.flush())
+            .map_err(|e| codec::io_to_ear("write frame", &e))?;
+        match read_reply(&mut conn, &mut self.inbuf)? {
+            WireMsg::Error { message } => Err(EarError::Protocol(format!(
+                "daemon answered with an error: {message}"
+            ))),
+            reply => {
+                self.conn = Some(conn);
+                Ok(reply)
+            }
+        }
     }
 
     /// [`NetClient::request`] with up to `retries` additional attempts,

@@ -299,19 +299,13 @@ impl SimCluster {
     /// Builds the daemons and the aggregation tree.
     pub fn new(cfg: ClusterConfig) -> EarResult<SimCluster> {
         if cfg.nodes == 0 {
-            return Err(EarError::Protocol(
-                "cluster needs at least one node".to_string(),
-            ));
+            return Err(EarError::config("cluster needs at least one node"));
         }
         if cfg.fanout < 2 {
-            return Err(EarError::Protocol(
-                "cluster fan-out must be at least 2".to_string(),
-            ));
+            return Err(EarError::config("cluster fan-out must be at least 2"));
         }
         if cfg.batch == 0 {
-            return Err(EarError::Protocol(
-                "cluster batch must be nonzero".to_string(),
-            ));
+            return Err(EarError::config("cluster batch must be nonzero"));
         }
         if let Some(w) = cfg.budget_w {
             if !w.is_finite() || w <= 0.0 {
@@ -650,6 +644,33 @@ mod tests {
             );
         }
         assert!(SimCluster::new(small_cfg(8)).is_ok());
+    }
+
+    #[test]
+    fn nonsense_tree_shapes_are_config_errors() {
+        for (label, cfg) in [
+            ("no nodes", small_cfg(0)),
+            (
+                "fan-out 1",
+                ClusterConfig {
+                    fanout: 1,
+                    ..small_cfg(8)
+                },
+            ),
+            (
+                "zero batch",
+                ClusterConfig {
+                    batch: 0,
+                    ..small_cfg(8)
+                },
+            ),
+        ] {
+            let err = SimCluster::new(cfg).err();
+            assert!(
+                matches!(err, Some(EarError::Config { .. })),
+                "{label}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -738,6 +738,14 @@ impl FrameBuffer {
         self.buffered() > 0
     }
 
+    /// Discards every buffered byte, keeping the allocation (a client
+    /// whose connection dropped must not decode a stale reply's tail on
+    /// the next one).
+    pub fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+    }
+
     /// Reclaims consumed prefix space. Cheap bookkeeping when fully
     /// drained; a single `copy_within` shift otherwise, done only once the
     /// dead prefix dominates.

@@ -473,15 +473,12 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
         // connection `i` lives at `1 + i` (unpollable transports hold an
         // ignored slot to keep the indices aligned).
         fds.clear();
-        let mut have_mem = false;
-        match listener.raw_fd() {
-            Some(fd) if shutdown_at.is_none() => fds.push(PollFd::new(fd, POLLIN)),
-            Some(_) => fds.push(PollFd::ignored()),
-            None => {
-                have_mem = true;
-                fds.push(PollFd::ignored());
-            }
-        }
+        let listener_fd = listener.raw_fd();
+        let mut have_mem = listener_fd.is_none();
+        fds.push(match listener_fd {
+            Some(fd) if shutdown_at.is_none() => PollFd::new(fd, POLLIN),
+            _ => PollFd::ignored(),
+        });
         for c in &conns {
             match c.io.raw_fd() {
                 Some(fd) => {
@@ -509,7 +506,13 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
 
         // Accept burst: drain the backlog, rejecting beyond the table cap
         // with the same saturation error frame the blocking server sends.
-        if shutdown_at.is_none() {
+        // A socket listener is asked only when its slot reports readable,
+        // so a request on an open connection costs no `accept` that can
+        // only answer EAGAIN; poll is level-triggered, so a backlog left
+        // by a burst is re-reported next iteration. The in-memory
+        // listener has no slot and is asked every iteration.
+        let listener_ready = listener_fd.is_none() || fds.first().is_some_and(|s| s.readable());
+        if shutdown_at.is_none() && listener_ready {
             while let Some(mut conn) = listener.accept_nonblocking()? {
                 if conns.len() >= cfg.workers {
                     report.rejected += 1;

@@ -45,6 +45,18 @@ fn uds_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("earsim-test-{tag}-{}.sock", std::process::id()))
 }
 
+/// Binds an ephemeral TCP listener and returns it with the endpoint
+/// clients dial.
+fn bind_tcp() -> (NetListener, Endpoint) {
+    let listener = NetListener::bind("127.0.0.1:0").expect("bind tcp");
+    let addr = listener
+        .describe()
+        .strip_prefix("tcp:")
+        .expect("tcp listener description")
+        .to_string();
+    (listener, Endpoint::Tcp(addr))
+}
+
 /// Drives a fixed request stream through one client and returns every
 /// reply as its encoded frame bytes.
 fn drive(endpoint: &Endpoint, requests: u64) -> Vec<Vec<u8>> {
@@ -353,14 +365,8 @@ fn async_server_replies_are_byte_identical_across_all_transports_and_servers() {
     uds.join().expect("async uds server");
 
     // Async over TCP (ephemeral port, read back from the listener).
-    let listener = NetListener::bind("127.0.0.1:0").expect("bind tcp");
-    let addr = listener
-        .describe()
-        .strip_prefix("tcp:")
-        .expect("tcp listener description")
-        .to_string();
+    let (listener, tcp_endpoint) = bind_tcp();
     let tcp = server::spawn_async(listener, test_server_cfg(0));
-    let tcp_endpoint = Endpoint::Tcp(addr);
     let tcp_replies = drive(&tcp_endpoint, N);
     NetClient::new(tcp_endpoint, fast_client())
         .shutdown()
@@ -519,4 +525,250 @@ fn histogram_quantiles_resolve_to_bucket_upper_bounds() {
     other.record(100);
     h.merge(&other);
     assert_eq!(h.count(), 5);
+}
+
+// ---------------------------------------------------------------------------
+// The readiness loop accepts only when the listener is readable, and the
+// client decodes replies through a `FrameBuffer`: the contracts both rely on.
+// ---------------------------------------------------------------------------
+
+/// While one client runs a tight closed loop on its open connection, a
+/// second client connects and must get its ping answered within the
+/// request deadline: the listener's readiness alone must bring it in.
+fn late_joiner_is_served_during_a_closed_loop(listener: NetListener, endpoint: Endpoint) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let handle = server::spawn_async(listener, test_server_cfg(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicU64::new(0));
+    let looper = {
+        let (endpoint, stop, served) = (endpoint.clone(), Arc::clone(&stop), Arc::clone(&served));
+        std::thread::spawn(move || {
+            let mut client = NetClient::new(endpoint, fast_client());
+            let mut i = 0;
+            while !stop.load(Ordering::Relaxed) {
+                client
+                    .request(&loadgen::nth_request(0, i))
+                    .expect("closed-loop request");
+                served.fetch_add(1, Ordering::Relaxed);
+                i += 1;
+            }
+        })
+    };
+    let wait_for = |count: u64| {
+        let since = std::time::Instant::now();
+        while served.load(Ordering::Relaxed) < count {
+            assert!(
+                since.elapsed() < Duration::from_secs(10),
+                "the closed loop stalled"
+            );
+            std::thread::yield_now();
+        }
+    };
+    wait_for(200);
+
+    let mut cfg = fast_client();
+    cfg.retries = 0;
+    let deadline = cfg.request_timeout;
+    let asked = std::time::Instant::now();
+    NetClient::new(endpoint.clone(), cfg)
+        .ping(0x1A7E)
+        .expect("a client connecting mid-loop must be served");
+    assert!(
+        asked.elapsed() < deadline,
+        "answered after {:?}",
+        asked.elapsed()
+    );
+    // The loop keeps being served after the join.
+    wait_for(served.load(Ordering::Relaxed) + 50);
+
+    stop.store(true, Ordering::Relaxed);
+    looper.join().expect("closed-loop client");
+    NetClient::new(endpoint, fast_client())
+        .shutdown()
+        .expect("shutdown");
+    let report = handle.join().expect("server exits");
+    assert!(report.shutdown_requested);
+    assert_eq!(report.accepted, 3, "loop client, late joiner, shutdown");
+    assert_eq!(report.conn_errors, 0);
+}
+
+#[test]
+fn async_server_accepts_a_late_client_during_a_closed_loop_over_uds() {
+    let path = uds_path("async-late-joiner");
+    let listener = NetListener::bind(path.to_str().expect("utf-8 temp path")).expect("bind");
+    late_joiner_is_served_during_a_closed_loop(listener, Endpoint::Unix(path));
+}
+
+#[test]
+fn async_server_accepts_a_late_client_during_a_closed_loop_over_tcp() {
+    let (listener, endpoint) = bind_tcp();
+    late_joiner_is_served_during_a_closed_loop(listener, endpoint);
+}
+
+#[test]
+fn async_server_still_accepts_on_the_in_memory_listener() {
+    let (listener, endpoint) = NetListener::in_memory();
+    let handle = server::spawn_async(listener, test_server_cfg(0));
+
+    // The in-memory listener has no poll slot; a second connection must
+    // still be accepted while the first stays open.
+    let mut first = NetClient::new(endpoint.clone(), fast_client());
+    first.ping(1).expect("first client");
+    let mut second = NetClient::new(endpoint.clone(), fast_client());
+    second.ping(2).expect("second client, first still open");
+    first.ping(3).expect("first client again");
+    drop((first, second));
+
+    NetClient::new(endpoint, fast_client())
+        .shutdown()
+        .expect("shutdown");
+    let report = handle.join().expect("server exits");
+    assert!(report.shutdown_requested);
+    assert_eq!(report.accepted, 3);
+    assert_eq!(report.requests, 4);
+}
+
+#[test]
+fn async_saturated_socket_server_sends_the_saturation_frame() {
+    let path = uds_path("async-saturated");
+    let listener = NetListener::bind(path.to_str().expect("utf-8 temp path")).expect("bind");
+    let mut cfg = test_server_cfg(0);
+    cfg.workers = 1;
+    let handle = server::spawn_async(listener, cfg);
+    let endpoint = Endpoint::Unix(path);
+
+    // The one slot is taken by an open connection...
+    let mut holder = NetClient::new(endpoint.clone(), fast_client());
+    holder.ping(1).expect("first client fits");
+
+    // ...so the next connection is answered, unprompted, with the
+    // saturation frame and closed.
+    let mut extra = endpoint.connect(Duration::from_secs(2)).expect("connect");
+    extra
+        .set_io_timeouts(Some(Duration::from_secs(2)), None)
+        .expect("timeouts");
+    match extra.read_msg().expect("read the refusal") {
+        Some(WireMsg::Error { message }) => assert_eq!(message, "server saturated"),
+        other => panic!("expected the saturation frame, got {other:?}"),
+    }
+    assert!(
+        extra.read_msg().expect("clean close").is_none(),
+        "a refused connection is closed after the frame"
+    );
+
+    // The poison frame goes over the held connection.
+    holder.shutdown().expect("shutdown");
+    let report = handle.join().expect("server exits");
+    assert!(report.shutdown_requested);
+    assert_eq!(report.accepted, 1);
+    assert_eq!(report.rejected, 1);
+}
+
+/// A hand-written daemon: serves each accepted connection with `serve`,
+/// one connection after another, and returns how many it accepted.
+fn fake_daemon<F>(
+    tag: &str,
+    connections: usize,
+    serve: F,
+) -> (Endpoint, std::thread::JoinHandle<()>)
+where
+    F: Fn(usize, &mut std::os::unix::net::UnixStream) + Send + 'static,
+{
+    let path = uds_path(tag);
+    let _ = std::fs::remove_file(&path);
+    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind fake daemon");
+    let cleanup = path.clone();
+    let handle = std::thread::spawn(move || {
+        for i in 0..connections {
+            let (mut stream, _) = listener.accept().expect("accept");
+            serve(i, &mut stream);
+        }
+        let _ = std::fs::remove_file(cleanup);
+    });
+    (Endpoint::Unix(path), handle)
+}
+
+#[test]
+fn client_reassembles_a_reply_written_one_byte_at_a_time() {
+    use std::io::Write;
+    let (endpoint, daemon) = fake_daemon("byte-peer", 1, |_, stream| {
+        while let Ok(Some(WireMsg::Ping { token })) = ear_netd::codec::read_frame(stream) {
+            let reply = encode_frame(&WireMsg::Pong { token }).expect("encode");
+            for byte in reply {
+                stream.write_all(&[byte]).expect("write one byte");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    });
+
+    let mut client = NetClient::new(endpoint, fast_client());
+    for token in [0xB17E, 7, u64::MAX] {
+        client.ping(token).expect("reply reassembled across reads");
+    }
+    drop(client);
+    daemon.join().expect("fake daemon");
+}
+
+#[test]
+fn client_turns_a_mid_reply_close_into_a_typed_error_and_redials() {
+    use std::io::Write;
+    let (endpoint, daemon) = fake_daemon("midreply-peer", 2, |i, stream| {
+        let Ok(Some(WireMsg::Ping { token })) = ear_netd::codec::read_frame(stream) else {
+            panic!("expected a ping");
+        };
+        let reply = encode_frame(&WireMsg::Pong { token }).expect("encode");
+        if i == 0 {
+            // Header and half the payload, then hang up.
+            stream.write_all(&reply[..12]).expect("partial reply");
+        } else {
+            stream.write_all(&reply).expect("whole reply");
+        }
+    });
+
+    let mut cfg = fast_client();
+    cfg.retries = 0;
+    let mut client = NetClient::new(endpoint, cfg);
+    let err = client
+        .request(&WireMsg::Ping { token: 1 })
+        .expect_err("a torn reply must fail");
+    assert!(
+        matches!(&err, ear_errors::EarError::Protocol(m) if m.contains("mid-reply")),
+        "expected a typed mid-reply error, got: {err}"
+    );
+    // The torn bytes are gone with the connection: the next request
+    // redials and decodes a clean reply.
+    match client.request(&WireMsg::Ping { token: 2 }) {
+        Ok(WireMsg::Pong { token }) => assert_eq!(token, 2),
+        other => panic!("expected pong 2 after the redial, got {other:?}"),
+    }
+    drop(client);
+    daemon.join().expect("fake daemon accepted the redial");
+}
+
+#[test]
+fn a_request_deadline_counts_as_a_deadline_hit() {
+    let (endpoint, daemon) = fake_daemon("silent-peer", 1, |_, stream| {
+        // Read the request, never answer, hold the connection open until
+        // the client gives up and closes it.
+        let _ = ear_netd::codec::read_frame(stream);
+        let _ = ear_netd::codec::read_frame(stream);
+    });
+
+    let mut cfg = fast_client();
+    cfg.request_timeout = Duration::from_millis(50);
+    cfg.retries = 0;
+    let mut client = NetClient::new(endpoint, cfg);
+    let before = ear_netd::stats::snapshot().timed_out;
+    let err = client.ping(9).expect_err("no reply must hit the deadline");
+    assert!(
+        ear_netd::codec::is_deadline_error(&err),
+        "expected a deadline error, got: {err}"
+    );
+    // The counter is process-global and only grows, so its floor is what
+    // this test can assert.
+    assert!(ear_netd::stats::snapshot().timed_out > before);
+    drop(client);
+    daemon.join().expect("fake daemon");
 }

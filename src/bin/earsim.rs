@@ -168,7 +168,13 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), EarError> {
         .map_or("min_energy_eufs", |s| s.as_str());
     let cpu_th = flag_f64(&flags, "cpu-th", 5.0) / 100.0;
     let unc_th = flag_f64(&flags, "unc-th", 2.0) / 100.0;
-    let runs = flag_f64(&flags, "runs", 3.0) as usize;
+    let runs = flags
+        .get("runs")
+        .map_or(3, |v| parse_num::<usize>(v, "runs"));
+    if runs == 0 {
+        eprintln!("--runs expects a positive integer");
+        usage();
+    }
     let seed = flag_f64(&flags, "seed", 42.0) as u64;
     let search = match flags.get("search").map(|s| s.as_str()) {
         None | Some("hw") => ImcSearch::HwGuided,
@@ -423,7 +429,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), EarError> {
             }
             "--node" => cfg.eard.node = parse_num::<u64>(&value("node"), "node"),
             "--max-seconds" => {
-                cfg.max_seconds = Some(parse_num::<f64>(&value("max-seconds"), "max-seconds"));
+                let secs: f64 = parse_num(&value("max-seconds"), "max-seconds");
+                if !secs.is_finite() || secs <= 0.0 {
+                    eprintln!("--max-seconds expects a positive number of seconds");
+                    usage();
+                }
+                cfg.max_seconds = Some(secs);
             }
             "--ceiling" => {
                 let v = value("ceiling");
